@@ -83,9 +83,23 @@ def _top2(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     options (relay == endpoint) as +inf and merely unattractive ones
     (failed/unprobed) as :data:`_UNATTRACTIVE`, so the runner-up is
     always a legal path even when every option looks terrible.
+
+    Equal to the first two columns of a stable ``argsort``, from two
+    ``argmin`` passes, the second with the winner masked to +inf.  That
+    pass returns the masked winner itself only when every other option
+    is +inf too and the winner sits in column 0 (``argmin`` takes the
+    first minimum); the stable sort's runner-up is then column 1.  Rows
+    holding NaN keep the sort (it orders NaN last; ``argmin`` first).
     """
-    order = np.argsort(values, axis=1, kind="stable")
-    return order[:, 0], order[:, 1]
+    if np.isnan(values).any():
+        order = np.argsort(values, axis=1, kind="stable")
+        return order[:, 0], order[:, 1]
+    best = values.argmin(axis=1)
+    masked = values.copy()
+    masked[np.arange(len(values)), best] = np.inf
+    second = masked.argmin(axis=1)
+    second[second == best] = 1
+    return best, second
 
 
 def _candidate_bytes(relay_loss: np.ndarray, relay_lat: np.ndarray) -> None:

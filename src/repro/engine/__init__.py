@@ -15,8 +15,8 @@ changing a single output bit:
   bitwise-identical :class:`~repro.core.reactive.ProbeSeries`, and the
   routing tables built from it select every grid slot in one batched
   NumPy pass instead of a per-slot Python loop.
-* :class:`~repro.engine.substrate.LazyTimelineBank` (via
-  ``Network.build(..., substrate="lazy")``) generates per-segment
+* :class:`~repro.netsim.substrate.LazyTimelineBank` (via
+  ``Network.build(..., substrate="lazy")``) generates each segment's
   substrate timelines on demand behind an LRU budget, so 100-host
   meshes don't pay for — or hold — state their probes never touch.
 * **Out-of-core runs** — ``EngineConfig(spill_dir=...)`` streams each
@@ -25,7 +25,7 @@ changing a single output bit:
   a run larger than RAM finishes with residency bounded by
   ``max_resident_shards``; ``shared_memory=True`` parks the substrate
   timeline arrays in one ``multiprocessing.shared_memory`` block
-  (:class:`~repro.engine.substrate.SharedTimelineBank`) so process
+  (:class:`~repro.netsim.substrate.SharedTimelineBank`) so process
   pools stop duplicating the substrate — at which point ``"process"``
   becomes the default executor above ``process_min_hosts`` hosts.
 * **Pipelined stage execution** — ``EngineConfig(pipeline=True)`` hands
@@ -39,6 +39,8 @@ changing a single output bit:
 Wire it into sweeps through ``repro.api.Runner(engine=EngineConfig())``.
 """
 
+from repro.netsim.substrate import LazyTimelineBank, SharedTimelineBank
+
 from .pipeline import collect_pipelined
 from .probing import ShardedProbe
 from .sharding import (
@@ -49,7 +51,6 @@ from .sharding import (
     auto_executor,
     plan_shards,
 )
-from .substrate import LazyTimelineBank, SharedTimelineBank
 
 __all__ = [
     "EngineConfig",

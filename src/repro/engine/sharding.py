@@ -66,7 +66,7 @@ def auto_executor(network: Network, n_hosts: int, min_hosts: int = PROCESS_MIN_H
     if (
         n_hosts >= min_hosts
         and hasattr(os, "fork")
-        and isinstance(network.state.congestion, SharedTimelineBank)
+        and isinstance(network.state.bank, SharedTimelineBank)
     ):
         return "process"
     return "thread"
@@ -219,8 +219,8 @@ class EngineConfig:
     :class:`repro.api.Runner` switches a run from the sequential
     pipeline to the engine.  ``substrate="lazy"`` builds networks with
     on-demand timeline generation bounded by an LRU budget of
-    ``max_cached_segments`` per cause; ``shared_memory=True`` parks the
-    (eager) timeline arrays in ``multiprocessing.shared_memory`` so
+    ``max_cached_segments`` segments; ``shared_memory=True`` parks the
+    (eager) fused bank's arrays in ``multiprocessing.shared_memory`` so
     pool workers read one physical copy.
 
     Out-of-core runs: ``spill_dir`` makes every shard write its partial

@@ -138,16 +138,8 @@ class Timeline:
         if starts.size == 0:
             return Timeline.quiet(horizon, corr_length)
 
-        # Sweep line: +severity at start, -severity at end.  We keep a
-        # multiset of active severities via sorting the event list and
-        # tracking, at each boundary, the max of active episodes.  For the
-        # episode counts we deal with (thousands per segment) an O(k^2)
-        # worst case would be too slow, so we use the standard "decompose
-        # into atomic intervals" approach: collect all boundaries, then
-        # compute the max severity on each atomic interval via np.maximum
-        # reduceat over episodes that cover it.  To stay O(k log k) we
-        # instead sweep with a priority-queue-free trick: sort events and
-        # maintain max via a small heap.
+        # Sweep line over the sorted start/end events, keeping the active
+        # episodes in a max-heap by severity: O(k log k) per segment.
         import heapq
 
         order = np.argsort(starts, kind="stable")

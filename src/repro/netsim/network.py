@@ -54,6 +54,12 @@ def conditional_loss_prob(
     return np.where(lost1, on, off)
 
 
+def _repeats_segment(segs: np.ndarray) -> bool:
+    """Does any row of a padded (n, L) segment matrix list a segment twice?"""
+    ordered = np.sort(segs, axis=1)
+    return bool(((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] >= 0)).any())
+
+
 @dataclass
 class PacketOutcome:
     """Vectorised result of sampling single packets."""
@@ -92,8 +98,6 @@ class _Detail:
     p_out: np.ndarray
     lost_cong: np.ndarray  # (n, L) bool
     lost_out: np.ndarray
-    lost_base: np.ndarray
-    lost_fwd: np.ndarray  # (n,) bool
     lost: np.ndarray  # (n,) bool
     latency: np.ndarray  # (n,)
 
@@ -125,7 +129,7 @@ class Network:
         first use behind an LRU budget of ``max_cached_segments``;
         ``"shared"`` parks the timeline arrays in shared memory so a
         process pool reads one physical copy (see
-        :mod:`repro.engine.substrate`).  Query results are bitwise
+        :mod:`repro.netsim.substrate`).  Query results are bitwise
         identical to the eager default either way.  ``relay_policy``
         (a :class:`repro.relaysets.RelayPolicySpec`) switches the path
         table to the sparse per-pair candidate layout; ``None`` keeps
@@ -219,9 +223,7 @@ class Network:
         for lo in range(0, n, CHUNK):
             hi = min(lo + CHUNK, n)
             d1 = self._eval(pids1[lo:hi], times[lo:hi], rng)
-            d2 = self._eval_conditional(
-                pids2[lo:hi], times[lo:hi] + gap, d1, rng
-            )
+            d2 = self._eval(pids2[lo:hi], times[lo:hi] + gap, rng, first=d1)
             out.lost1[lo:hi] = d1.lost
             out.lost2[lo:hi] = d2.lost
             out.latency1[lo:hi] = d1.latency
@@ -249,7 +251,7 @@ class Network:
             raise ValueError("times must be (n, m) matching pids")
         if times.shape[1] and np.any(np.diff(times, axis=1) < 0):
             raise ValueError("train times must be non-decreasing per row")
-        self._check(pids, times[:, 0] if times.shape[1] else np.zeros(0))
+        self._check(pids, times[:, 0] if times.shape[1] else np.zeros(len(pids)))
         rng = rng or self._rng
         n, m = times.shape
         lost = np.empty((n, m), dtype=bool)
@@ -258,12 +260,7 @@ class Network:
             hi = min(lo + CHUNK, n)
             detail = None
             for j in range(m):
-                if detail is None:
-                    detail = self._eval(pids[lo:hi], times[lo:hi, j], rng)
-                else:
-                    detail = self._eval_conditional(
-                        pids[lo:hi], times[lo:hi, j], detail, rng
-                    )
+                detail = self._eval(pids[lo:hi], times[lo:hi, j], rng, first=detail)
                 lost[lo:hi, j] = detail.lost
                 lat[lo:hi, j] = detail.latency
         return lost, lat
@@ -280,11 +277,9 @@ class Network:
         segs = self.paths.seg[pids]
         t = times[:, None] + self.paths.offset[pids]
         valid = segs >= 0
-        p_c = self.state.congestion.severity_at(segs, t)
-        p_o = self.state.outage.severity_at(segs, t)
+        p_c, p_o, _ = self.state.bank.severity_at(segs, t)
         p_b = np.where(valid, self.state.base_loss[np.clip(segs, 0, None)], 0.0)
-        survive = (1.0 - p_c) * (1.0 - p_o) * (1.0 - p_b)
-        survive = np.where(valid, survive, 1.0)
+        survive = (1.0 - p_c) * (1.0 - p_o) * (1.0 - p_b)  # 1.0 on padding
         return 1.0 - survive.prod(axis=1) * (1.0 - self.paths.forward_loss[pids])
 
     def path_mean_loss(self, pid: int, n_samples: int = 2048) -> float:
@@ -304,114 +299,58 @@ class Network:
             raise ValueError(f"invalid path id {bad} (degenerate src/relay/dst?)")
 
     def _eval(
-        self, pids: np.ndarray, times: np.ndarray, rng: np.random.Generator
-    ) -> _Detail:
-        segs = self.paths.seg[pids]
-        t = times[:, None] + self.paths.offset[pids]
-        valid = segs >= 0
-        safe = np.clip(segs, 0, None)
-
-        p_cong = self.state.congestion.severity_at(segs, t)
-        p_out = self.state.outage.severity_at(segs, t)
-        p_base = np.where(valid, self.state.base_loss[safe], 0.0)
-
-        u = rng.random((3,) + segs.shape)
-        lost_cong = u[0] < p_cong
-        lost_out = u[1] < p_out
-        lost_base = u[2] < p_base
-        lost_fwd = rng.random(len(pids)) < self.paths.forward_loss[pids]
-        lost = (
-            lost_cong.any(axis=1)
-            | lost_out.any(axis=1)
-            | lost_base.any(axis=1)
-            | lost_fwd
-        )
-        latency = self._latency(pids, segs, t, valid, safe, p_cong, rng)
-        return _Detail(
-            segs=segs,
-            t=t,
-            p_cong=p_cong,
-            p_out=p_out,
-            lost_cong=lost_cong,
-            lost_out=lost_out,
-            lost_base=lost_base,
-            lost_fwd=lost_fwd,
-            lost=lost,
-            latency=latency,
-        )
-
-    def _latency(
-        self,
-        pids: np.ndarray,
-        segs: np.ndarray,
-        t: np.ndarray,
-        valid: np.ndarray,
-        safe: np.ndarray,
-        p_cong: np.ndarray,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        jitter_scale = np.where(valid, self.state.jitter_s[safe], 0.0)
-        jitter = rng.gamma(2.0, 1.0, size=segs.shape) * (jitter_scale / 2.0)
-        queue = (
-            self.state.queue_s[safe]
-            * p_cong
-            * rng.uniform(0.5, 1.5, size=segs.shape)
-        )
-        queue = np.where(valid, queue, 0.0)
-        inflation = self.state.delay.severity_at(segs, t)
-        return (
-            self.paths.prop_total[pids]
-            + jitter.sum(axis=1)
-            + queue.sum(axis=1)
-            + inflation.sum(axis=1)
-        )
-
-    def _eval_conditional(
         self,
         pids: np.ndarray,
         times: np.ndarray,
-        first: _Detail,
         rng: np.random.Generator,
+        first: _Detail | None = None,
     ) -> _Detail:
-        """Evaluate the second copy of a pair, conditioning shared segments."""
+        """Evaluate packets; given ``first``, as the second copies of pairs,
+        conditioning segments shared with the first copy's path."""
         segs = self.paths.seg[pids]
         t = times[:, None] + self.paths.offset[pids]
         valid = segs >= 0
         safe = np.clip(segs, 0, None)
 
-        p_cong = self.state.congestion.severity_at(segs, t)
-        p_out = self.state.outage.severity_at(segs, t)
+        p_cong, p_out, p_delay = self.state.bank.severity_at(segs, t)
         p_base = np.where(valid, self.state.base_loss[safe], 0.0)
-
-        # which of packet2's segments also appear on packet1's path?
-        match = (segs[:, :, None] == first.segs[:, None, :]) & valid[:, :, None]
-        shared = match.any(axis=2)
-        k = match.argmax(axis=2)  # first matching column in packet1's path
-        rows = np.arange(len(pids))[:, None]
-        dt = np.abs(t - first.t[rows, k])
-
-        cong_corr = self.state.congestion.corr_length[safe]
-        out_corr = self.state.outage.corr_length[safe]
-
-        p_cong_eff = self._condition(
-            p_cong, first.p_cong, first.lost_cong, shared, k, dt, cong_corr
-        )
-        p_out_eff = self._condition(
-            p_out, first.p_out, first.lost_out, shared, k, dt, out_corr
-        )
+        p_cong_eff, p_out_eff = p_cong, p_out
+        if first is not None:
+            # which of packet2's segments also appear on packet1's path?
+            # On the same paths, none of which repeats a segment, each
+            # valid column matches itself (k only matters where shared)
+            if np.array_equal(segs, first.segs) and not _repeats_segment(segs):
+                shared, k = valid, np.broadcast_to(np.arange(segs.shape[1]), segs.shape)
+            else:
+                match = (segs[:, :, None] == first.segs[:, None, :]) & valid[:, :, None]
+                shared = match.any(axis=2)
+                k = match.argmax(axis=2)  # first matching column in packet1's path
+            rows = np.arange(len(pids))[:, None]
+            dt = np.abs(t - first.t[rows, k])
+            cong_corr, out_corr = self.state.bank.corr_length[:2, safe]
+            p_cong_eff = self._condition(
+                p_cong, first.p_cong, first.lost_cong, shared, k, dt, cong_corr
+            )
+            p_out_eff = self._condition(
+                p_out, first.p_out, first.lost_out, shared, k, dt, out_corr
+            )
 
         u = rng.random((3,) + segs.shape)
         lost_cong = u[0] < p_cong_eff
         lost_out = u[1] < p_out_eff
         lost_base = u[2] < p_base  # memoryless: never conditioned
         lost_fwd = rng.random(len(pids)) < self.paths.forward_loss[pids]
-        lost = (
-            lost_cong.any(axis=1)
-            | lost_out.any(axis=1)
-            | lost_base.any(axis=1)
-            | lost_fwd
+        lost = lost_cong.any(axis=1) | lost_out.any(axis=1) | lost_base.any(axis=1) | lost_fwd
+        jitter_scale = np.where(valid, self.state.jitter_s[safe], 0.0)
+        jitter = rng.gamma(2.0, 1.0, size=segs.shape) * (jitter_scale / 2.0)
+        queue = self.state.queue_s[safe] * p_cong * rng.uniform(0.5, 1.5, size=segs.shape)
+        queue = np.where(valid, queue, 0.0)
+        latency = (
+            self.paths.prop_total[pids]
+            + jitter.sum(axis=1)
+            + queue.sum(axis=1)
+            + p_delay.sum(axis=1)
         )
-        latency = self._latency(pids, segs, t, valid, safe, p_cong, rng)
         return _Detail(
             segs=segs,
             t=t,
@@ -419,8 +358,6 @@ class Network:
             p_out=p_out,
             lost_cong=lost_cong,
             lost_out=lost_out,
-            lost_base=lost_base,
-            lost_fwd=lost_fwd,
             lost=lost,
             latency=latency,
         )

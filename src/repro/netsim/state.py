@@ -1,16 +1,17 @@
-"""Per-segment stochastic state: generation and fast vectorised lookup.
+"""Per-segment stochastic state: generation and fused vectorised lookup.
 
 :func:`build_state` draws, for every segment of a topology and a given
-horizon, the three timelines that drive packet fate:
+horizon, the three timelines (:data:`CAUSES`) that drive packet fate:
 
 * ``congestion`` — bursty elevated-loss episodes (diurnally modulated),
 * ``outage``     — near-total loss episodes (edge-biased, SRG-correlated),
 * ``delay``      — added one-way delay in seconds (latency pathologies).
 
 :class:`TimelineBank` packs all segments' piecewise-constant timelines
-into single flat arrays so a whole batch of (segment, time) queries is a
-single ``np.searchsorted`` — the trick that keeps million-probe trace
-generation fast.
+into flat arrays, and a fused bank aligns the three causes on the union
+of their boundaries, so a whole batch of (segment, time) queries is one
+search — mostly a bucket-table read — answering congestion, outage and
+delay together: the trick that keeps million-probe trace generation fast.
 """
 
 from __future__ import annotations
@@ -33,7 +34,50 @@ from .segments import Segment, SegmentKind
 from .topology import Topology
 from .units import HOUR, MILLISECOND
 
-__all__ = ["TimelineBank", "SegmentState", "SegmentTimelineRecipe", "build_state"]
+__all__ = ["CAUSES", "TimelineBank", "SegmentState", "SegmentTimelineRecipe", "build_state"]
+
+#: the causes a segment's state carries, in the row order of a fused bank
+CAUSES = ("congestion", "outage", "delay")
+
+#: guide-table buckets per boundary: at 16, 9% of the valid queries of
+#: perfbench's ``clp-sweep`` (24 h ron2003 substrate) still land in a
+#: bucket holding a boundary and binary-search
+GUIDE_PER_BOUND = 16
+
+
+def with_sentinel(sev: np.ndarray) -> np.ndarray:
+    """Prepend the zero severity that queries before every boundary —
+    padding and out-of-horizon ones — land on (index 0)."""
+    return np.concatenate([np.zeros(sev.shape[:-1] + (1,)), sev], axis=-1)
+
+
+def fuse_layouts(layouts) -> tuple[np.ndarray, np.ndarray]:
+    """Align causes' ``(bounds, sentinel + severity)`` on the union of
+    their boundaries: per cause the row ``sev_c[searchsorted(bounds_c,
+    union, "right")]``.  Every timeline starts at 0, so each union point
+    has a boundary of every cause at or before it in its own segment,
+    and a search over the union lands on the same severities bit for bit.
+    """
+    union = np.unique(np.concatenate([b for b, _ in layouts]))
+    rows = [s[np.searchsorted(b, union, side="right")] for b, s in layouts]
+    return union, with_sentinel(np.stack(rows))
+
+
+def build_guide(bounds: np.ndarray, shift: float):
+    """A bucket table answering most searches of ``bounds`` by lookup.
+
+    ``f(q) = int(q * scale + 1)`` is monotone, so boundaries in buckets
+    before ``f(q)`` are ``<= q`` and those after it ``> q``: ``below[f(q)]``
+    is the exact right-side search index unless ``q``'s own bucket holds
+    a boundary (``busy``).  Covers queries in ``[-1, bounds[-1] + shift)``.
+    """
+    span = (bounds[-1] if len(bounds) else 0.0) + shift
+    scale = min(1.0, GUIDE_PER_BOUND * max(len(bounds), 1) / span)
+    keys = (bounds * scale + 1.0).astype(np.intp)
+    below = np.searchsorted(keys, np.arange(int(span * scale + 1.0) + 2))
+    # the table outnumbers the boundaries 16:1, so store its indices small
+    below = below.astype(np.min_scalar_type(len(bounds)))
+    return scale, below[:-1], below[1:] != below[:-1]
 
 
 class TimelineBank:
@@ -41,32 +85,71 @@ class TimelineBank:
 
     Each segment's boundaries are shifted by ``sid * shift`` with
     ``shift > horizon`` so the concatenated boundary array stays sorted
-    and a query for ``(sid, t)`` can be answered with a single global
-    ``searchsorted`` on ``t + sid * shift``.
+    and a query for ``(sid, t)`` is a single global search for ``t + sid
+    * shift`` (mostly a table lookup, see :func:`build_guide`).
+
+    ``TimelineBank(timelines, horizon)`` holds one cause; :meth:`fuse`
+    aligns several on the union of their boundaries, one severity row
+    each, so one search answers every cause.  The storage backends of
+    :mod:`repro.netsim.substrate` override only :meth:`_layout`.
     """
+
+    #: row names of a fused bank; None for a one-cause bank
+    causes: tuple[str, ...] | None = None
+    #: :func:`build_guide` table over ``_bounds``; None: binary search
+    _guide = None
 
     def __init__(self, timelines: list[Timeline], horizon: float) -> None:
         if not timelines:
             raise ValueError("a TimelineBank needs at least one timeline")
+        if any(tl.horizon != horizon for tl in timelines):
+            raise ValueError("all timelines in a bank must share the horizon")
+        self._init(horizon)
+        bounds = [tl.boundaries + sid * self.shift for sid, tl in enumerate(timelines)]
+        self._bounds = np.concatenate(bounds)
+        self._sev = with_sentinel(np.concatenate([tl.severity for tl in timelines]))
+        self.corr_length = np.array([tl.corr_length for tl in timelines], dtype=np.float64)
+        self.mean_severity = np.array([tl.mean_severity() for tl in timelines])
+
+    def _init(self, horizon: float) -> None:
         self.horizon = float(horizon)
         self.shift = self.horizon * 2.0 + 1.0
-        bounds, sevs = [], []
-        for sid, tl in enumerate(timelines):
-            if tl.horizon != horizon:
-                raise ValueError("all timelines in a bank must share the horizon")
-            bounds.append(tl.boundaries + sid * self.shift)
-            sevs.append(tl.severity)
-        self._bounds = np.concatenate(bounds)
-        self._sev = np.concatenate(sevs)
-        self.corr_length = np.array(
-            [tl.corr_length for tl in timelines], dtype=np.float64
-        )
-        self.mean_severity = np.array(
-            [tl.mean_severity() for tl in timelines], dtype=np.float64
-        )
+
+    @classmethod
+    def fuse(cls, banks: dict[str, TimelineBank]) -> TimelineBank:
+        """One bank whose rows are the one-cause ``banks``, in order."""
+        parts = list(banks.values())
+        horizon, n_seg = parts[0].horizon, parts[0].corr_length.shape
+        if any(b.horizon != horizon or b.corr_length.shape != n_seg for b in parts):
+            raise ValueError("fused banks must share the horizon and the segments")
+        bank = cls.__new__(cls)
+        bank._init(horizon)
+        bank.causes = tuple(banks)
+        bank._bounds, bank._sev = fuse_layouts([b._layout(None, None) for b in parts])
+        bank._guide = build_guide(bank._bounds, bank.shift)  # the one bank queried
+        bank.corr_length = np.stack([b.corr_length for b in parts])
+        bank.mean_severity = np.stack([b.mean_severity for b in parts])
+        return bank
+
+    def _layout(self, sids: np.ndarray | None, ok: np.ndarray | None):
+        """``(bounds, sentinel + severity)`` covering the segments of
+        ``sids[ok]`` (``None``: all of them)."""
+        return self._bounds, self._sev
+
+    def _search(self, bounds: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Right-side search index of ``q`` in ``bounds``: by guide table
+        over the guided whole-bank layout, else by binary search."""
+        if self._guide is None or bounds is not self._bounds:
+            return np.searchsorted(bounds, q, side="right")
+        scale, below, busy = self._guide
+        k = (q * scale + 1.0).astype(np.intp)
+        idx, hit = below[k], busy[k]
+        idx[hit] = np.searchsorted(bounds, q[hit], side="right")
+        return idx
 
     def severity_at(self, sids: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """Severity of segment ``sids[i]`` at ``times[i]`` (vectorised).
+        """Severity of segment ``sids[i]`` at ``times[i]`` (vectorised),
+        behind a leading axis of one row per cause on a fused bank.
 
         ``sids`` may contain NO_SEGMENT (-1) padding; those entries and
         out-of-horizon times return 0.
@@ -74,26 +157,65 @@ class TimelineBank:
         sids = np.asarray(sids)
         t = np.asarray(times, dtype=np.float64)
         ok = (sids >= 0) & (t >= 0.0) & (t < self.horizon)
-        safe_sid = np.where(ok, sids, 0)
-        safe_t = np.where(ok, t, 0.0)
-        q = safe_t + safe_sid * self.shift
-        idx = np.searchsorted(self._bounds, q, side="right") - 1
-        return np.where(ok, self._sev[idx], 0.0)
+        # rejected queries search for -1: index 0, the zero sentinel
+        q = np.where(ok, t + sids * self.shift, -1.0)
+        bounds, sev = self._layout(sids, ok)
+        return np.take(sev, self._search(bounds, q), axis=-1)
+
+    def cause(self, name: str) -> TimelineBank:
+        """One row of a fused bank as a one-cause bank (shared storage)."""
+        return _CauseRow(self, self.causes.index(name))
+
+
+class _CauseRow(TimelineBank):
+    """One cause of a fused bank, whatever its backend."""
+
+    def __init__(self, parent: TimelineBank, row: int) -> None:
+        self._init(parent.horizon)
+        self._parent, self._row = parent, row
+        self.corr_length = parent.corr_length[row]
+
+    @property
+    def mean_severity(self) -> np.ndarray:
+        return self._parent.mean_severity[self._row]
+
+    def _layout(self, sids, ok):
+        bounds, sev = self._parent._layout(sids, ok)
+        return bounds, sev[self._row]
+
+    def _search(self, bounds, q):
+        return self._parent._search(bounds, q)
+
+
+def _cause_property(name: str) -> property:
+    def set_(state: SegmentState, bank: TimelineBank) -> None:
+        # re-fuse: sampling reads state.bank, never a stale copy
+        fused = {c: bank if c == name else state.bank.cause(c) for c in CAUSES}
+        state.bank = TimelineBank.fuse(fused)
+
+    return property(lambda state: state.bank.cause(name), set_)
 
 
 @dataclass
 class SegmentState:
-    """Generated state for one topology over one horizon."""
+    """Generated state for one topology over one horizon.
+
+    ``bank`` is the fused substrate (one row per cause in
+    :data:`CAUSES`); ``congestion``/``outage``/``delay`` read one row,
+    and assigning a one-cause bank to one of them re-fuses ``bank``.
+    """
 
     topology: Topology
     horizon: float
-    congestion: TimelineBank
-    outage: TimelineBank
-    delay: TimelineBank
+    bank: TimelineBank
     base_loss: np.ndarray  # (n_segments,)
     jitter_s: np.ndarray  # (n_segments,) mean jitter in seconds
     queue_s: np.ndarray  # (n_segments,) queue delay at severity 1.0
     host_down: list[Timeline]  # per host
+
+    congestion = _cause_property("congestion")
+    outage = _cause_property("outage")
+    delay = _cause_property("delay")
 
     def host_down_at(self, host_ids: np.ndarray, times: np.ndarray) -> np.ndarray:
         """Boolean: was each host down at the given time?"""
@@ -201,8 +323,8 @@ class SegmentTimelineRecipe:
     Every segment's congestion/outage/delay timeline is a pure function
     of (topology, horizon, seed) through its own named RNG substream, so
     timelines can be generated in any order — eagerly all at once (the
-    classic :func:`build_state` path) or on demand by the engine's
-    :class:`repro.engine.substrate.LazyTimelineBank` — and come out
+    classic :func:`build_state` path) or segment by segment on demand by
+    :class:`repro.netsim.substrate.LazyTimelineBank` — and come out
     bitwise identical.  Shared-risk-group episodes are drawn once per
     group (thread-safe) from the group's own stream.
     """
@@ -306,9 +428,7 @@ class SegmentTimelineRecipe:
         return Timeline.from_episodes(EpisodeSet.concat(dpieces), self.horizon, 60.0)
 
     def timeline(self, kind: str, seg: Segment) -> Timeline:
-        return {"congestion": self.congestion, "outage": self.outage, "delay": self.delay}[
-            kind
-        ](seg)
+        return getattr(self, kind)(seg)
 
     def corr_length(self, seg: Segment, kind: str) -> float:
         """Correlation length of one cause on one segment (config-only:
@@ -340,12 +460,12 @@ def build_state(
     """Draw all stochastic state for ``topology`` over ``[0, horizon)``.
 
     ``substrate="eager"`` (the default) generates every segment's
-    timelines up front; ``"lazy"`` defers generation to first use behind
-    an LRU budget of ``max_cached_segments`` per cause; ``"shared"``
-    generates eagerly into :mod:`multiprocessing.shared_memory` so
-    process-pool workers read one physical copy (see
-    :mod:`repro.engine.substrate`).  All produce bitwise-identical
-    query results.
+    timelines up front into one fused :class:`TimelineBank`; ``"lazy"``
+    defers each segment's generation to first use behind an LRU budget
+    of ``max_cached_segments`` segments; ``"shared"`` generates eagerly
+    into :mod:`multiprocessing.shared_memory` so process-pool workers
+    read one physical copy (see :mod:`repro.netsim.substrate`).  All
+    produce bitwise-identical query results.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -366,23 +486,20 @@ def build_state(
         jitter_s[seg.sid] = seg.jitter_ms * MILLISECOND
         queue_s[seg.sid] = seg.queue_ms * MILLISECOND
 
-    if substrate == "lazy":
-        # function-level: netsim.substrate imports this module's types
-        from .substrate import LazyTimelineBank
+    # function-level: netsim.substrate imports this module's types
+    from .substrate import LazyTimelineBank, SharedTimelineBank
 
-        banks = {
-            kind: LazyTimelineBank(recipe, kind, max_cached=max_cached_segments)
-            for kind in ("congestion", "outage", "delay")
-        }
+    if substrate == "lazy":
+        bank = LazyTimelineBank(recipe, max_cached=max_cached_segments)
     else:
+        bank = TimelineBank.fuse(
+            {
+                kind: TimelineBank([recipe.timeline(kind, seg) for seg in reg], horizon)
+                for kind in CAUSES
+            }
+        )
         if substrate == "shared":
-            from .substrate import SharedTimelineBank as bank_cls
-        else:
-            bank_cls = TimelineBank
-        banks = {
-            kind: bank_cls([recipe.timeline(kind, seg) for seg in reg], horizon)
-            for kind in ("congestion", "outage", "delay")
-        }
+            bank = SharedTimelineBank(bank)
 
     # -- whole-host failures ---------------------------------------------
     host_down: list[Timeline] = []
@@ -401,9 +518,7 @@ def build_state(
     return SegmentState(
         topology=topology,
         horizon=horizon,
-        congestion=banks["congestion"],
-        outage=banks["outage"],
-        delay=banks["delay"],
+        bank=bank,
         base_loss=base_loss,
         jitter_s=jitter_s,
         queue_s=queue_s,

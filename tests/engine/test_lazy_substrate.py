@@ -1,13 +1,13 @@
-"""Lazy substrate parity: on-demand timeline generation (with and
-without an LRU budget) must answer every query bitwise identically to
-the eager TimelineBank."""
+"""Lazy substrate parity: on-demand per-segment generation of the fused
+bank (with and without an LRU budget) must answer every query bitwise
+identically to the eager TimelineBank."""
 
 import numpy as np
 import pytest
 
-from repro.engine.substrate import LazyTimelineBank
 from repro.netsim import Network, RngFactory, config_2003
-from repro.netsim.state import SegmentTimelineRecipe, build_state
+from repro.netsim.state import CAUSES, SegmentTimelineRecipe, TimelineBank, build_state
+from repro.netsim.substrate import LazyTimelineBank
 from repro.netsim.topology import build_topology
 from repro.testbed import collect, dataset
 from repro.trace import trace_fingerprint
@@ -38,26 +38,30 @@ def random_queries(n_seg, rng, n=4000):
 @pytest.mark.parametrize("kind", ["congestion", "outage", "delay"])
 def test_severity_matches_eager_bitwise(topo, eager, kind, budget):
     recipe = SegmentTimelineRecipe(topo, HORIZON, RngFactory(13))
-    lazy = LazyTimelineBank(recipe, kind, max_cached=budget)
+    lazy = LazyTimelineBank(recipe, max_cached=budget)
     bank = getattr(eager, kind)
     rng = np.random.default_rng(5)
     for _ in range(3):
         sids, times = random_queries(len(topo.registry), rng)
         np.testing.assert_array_equal(
-            lazy.severity_at(sids, times), bank.severity_at(sids, times)
+            lazy.cause(kind).severity_at(sids, times), bank.severity_at(sids, times)
         )
-    np.testing.assert_array_equal(lazy.corr_length, bank.corr_length)
+        # the fused query answers all three causes at once, same bits
+        np.testing.assert_array_equal(
+            lazy.severity_at(sids, times), eager.bank.severity_at(sids, times)
+        )
+    np.testing.assert_array_equal(lazy.cause(kind).corr_length, bank.corr_length)
     if budget is not None:
         assert lazy.cached_segments <= budget
 
 
 def test_budget_churn_regenerates_identically(topo, eager):
     recipe = SegmentTimelineRecipe(topo, HORIZON, RngFactory(13))
-    lazy = LazyTimelineBank(recipe, "outage", max_cached=2)
+    lazy = LazyTimelineBank(recipe, max_cached=2)
     rng = np.random.default_rng(9)
     sids, times = random_queries(len(topo.registry), rng)
-    first = lazy.severity_at(sids, times)
-    again = lazy.severity_at(sids, times)
+    first = lazy.cause("outage").severity_at(sids, times)
+    again = lazy.cause("outage").severity_at(sids, times)
     np.testing.assert_array_equal(first, again)
     assert lazy.generated_segments > lazy.cached_segments  # it really churned
 
@@ -66,24 +70,25 @@ def test_budget_churn_regenerates_identically(topo, eager):
 
 def test_warm_unbounded_bank_flattens(topo, eager):
     recipe = SegmentTimelineRecipe(topo, HORIZON, RngFactory(13))
-    lazy = LazyTimelineBank(recipe, "congestion")
+    lazy = LazyTimelineBank(recipe)
     n = len(topo.registry)
     sids = np.arange(n)
     times = np.linspace(0.0, HORIZON * 0.99, n)
     warm = lazy.severity_at(sids, times)  # touches every segment
     assert lazy._flat is not None
-    np.testing.assert_array_equal(warm, eager.congestion.severity_at(sids, times))
+    np.testing.assert_array_equal(warm, eager.bank.severity_at(sids, times))
     # post-flatten queries go through the eager layout, same bits
     rng = np.random.default_rng(21)
     q_sids, q_times = random_queries(n, rng)
     np.testing.assert_array_equal(
-        lazy.severity_at(q_sids, q_times), eager.congestion.severity_at(q_sids, q_times)
+        lazy.cause("congestion").severity_at(q_sids, q_times),
+        eager.congestion.severity_at(q_sids, q_times),
     )
 
 
 def test_budgeted_bank_never_flattens(topo):
     recipe = SegmentTimelineRecipe(topo, HORIZON, RngFactory(13))
-    lazy = LazyTimelineBank(recipe, "congestion", max_cached=4)
+    lazy = LazyTimelineBank(recipe, max_cached=4)
     n = len(topo.registry)
     lazy.severity_at(np.arange(n), np.full(n, 10.0))
     assert lazy._flat is None
@@ -92,10 +97,15 @@ def test_budgeted_bank_never_flattens(topo):
 
 def test_mean_severity_and_materialize_match_eager(topo, eager):
     recipe = SegmentTimelineRecipe(topo, HORIZON, RngFactory(13))
-    lazy = LazyTimelineBank(recipe, "congestion")
-    np.testing.assert_array_equal(lazy.mean_severity, eager.congestion.mean_severity)
-    bank = lazy.materialize()
-    np.testing.assert_array_equal(bank.mean_severity, eager.congestion.mean_severity)
+    lazy = LazyTimelineBank(recipe)
+    np.testing.assert_array_equal(
+        lazy.cause("congestion").mean_severity, eager.congestion.mean_severity
+    )
+    # re-fusing the lazy rows materialises the eager layout, same bytes
+    bank = TimelineBank.fuse({kind: lazy.cause(kind) for kind in CAUSES})
+    np.testing.assert_array_equal(bank.mean_severity, eager.bank.mean_severity)
+    np.testing.assert_array_equal(bank._bounds, eager.bank._bounds)
+    np.testing.assert_array_equal(bank._sev, eager.bank._sev)
 
 
 def test_lazy_network_collects_identically():
@@ -120,4 +130,4 @@ def test_substrate_validation():
     topo = build_topology(tiny_hosts(), config_2003(), RngFactory(0))
     recipe = SegmentTimelineRecipe(topo, 100.0, RngFactory(0))
     with pytest.raises(ValueError):
-        LazyTimelineBank(recipe, "outage", max_cached=0)
+        LazyTimelineBank(recipe, max_cached=0)

@@ -247,7 +247,7 @@ class TestRunnerIntegration:
 
         runner = Runner(engine=EngineConfig(min_hosts=32, substrate="lazy"))
         res = runner.run(ExperimentSpec("ronnarrow", duration_s=120.0, seeds=(1,)))[0]
-        assert isinstance(res.network.state.congestion, TimelineBank)
+        assert type(res.network.state.bank) is TimelineBank
 
     def test_engine_with_lazy_substrate_through_runner(self):
         spec = ExperimentSpec("ronnarrow", duration_s=DURATION, seeds=(2,))

@@ -155,7 +155,7 @@ class TestSharedMemorySubstrate:
             EngineConfig(n_shards=3, executor="serial", shared_memory=True)
         ).collect(ds, DURATION, seed=6)
         assert_traces_equal(col.trace, seq.trace)
-        assert isinstance(col.network.state.congestion, SharedTimelineBank)
+        assert isinstance(col.network.state.bank, SharedTimelineBank)
 
     def test_shm_probing_matches_private(self):
         ds, _ = sequential_for("ronnarrow")
@@ -194,11 +194,7 @@ class TestSharedMemorySubstrate:
         net = Network.build(
             ds.hosts(), ds.network_config(60.0), 60.0, seed=1, substrate="shared"
         )
-        names = {
-            getattr(net.state, kind).shm_name
-            for kind in ("congestion", "outage", "delay")
-        }
-        assert len(names) == 3
+        names = {net.state.bank.shm_name}  # one block holds the fused bank
         del net
         gc.collect()
         live = set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()

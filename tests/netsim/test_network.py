@@ -207,6 +207,20 @@ class TestSampleTrain:
         with pytest.raises(ValueError):
             tiny_network.sample_train(pids, np.array([[1.0, 0.5]]))
 
+    def test_empty_trains_return_empty_rows(self, tiny_network):
+        # (n, 0) times is a valid request for n zero-length trains
+        p = tiny_network.paths
+        pids = np.full(4, p.direct_pid(0, 1))
+        state = tiny_network.traffic_rng_state
+        lost, lat = tiny_network.sample_train(pids, np.zeros((4, 0)))
+        assert lost.shape == (4, 0) and lost.dtype == bool
+        assert lat.shape == (4, 0) and lat.dtype == np.float64
+        assert tiny_network.traffic_rng_state == state  # nothing drawn
+        # the pids are still validated
+        bad = np.full(4, p.relay_pid(0, 1, 1))
+        with pytest.raises(ValueError, match="invalid path id"):
+            tiny_network.sample_train(bad, np.zeros((4, 0)))
+
 
 class TestGroundTruth:
     def test_path_loss_prob_in_range(self, tiny_network, rng):
